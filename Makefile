@@ -34,9 +34,10 @@ apply-parity:
 # Profile-parity smoke: the sharded, mergeable, incremental profile index
 # must emit byte-identical hierarchies to the reference per-row profiler
 # across shard counts (1/4/16), worker counts (1/2/4/8), and append
-# schedules (all-at-once vs four increments), under the race detector.
+# schedules (all-at-once vs four increments), through Profile and Initial,
+# and must follow the shard-count rule, under the race detector.
 profile-parity:
-	$(GO) test -race -run 'TestShardedIndexMatchesReference|TestProfileAutoCollapse' ./internal/cluster
+	$(GO) test -race -run 'TestShardedIndexMatchesReference|TestProfileAutoCollapse|TestProfileMatchesReference|TestInitialMatchesReference' ./internal/cluster
 
 # Coverage floors: every package listed in scripts/cover_floors.txt must
 # stay at or above its floor.
@@ -53,8 +54,9 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchmem .
 
 # Profile hot-path micro-benchmarks with allocation tracking: the
-# zero-allocation tokenizer, the intern table, and the counted profile
-# path against the pre-interning reference implementation.
+# zero-allocation tokenizer, the intern table, and Profile (the
+# distinct-value index) against the pre-interning reference
+# implementation.
 bench-profile:
 	$(GO) test -run xxx -bench 'BenchmarkTokenize|BenchmarkIntern|BenchmarkProfile' -benchmem \
 		./internal/tokenize ./internal/intern ./internal/cluster
@@ -63,7 +65,7 @@ bench-profile:
 pipeline:
 	$(GO) run ./cmd/clxbench -exp pipeline
 
-# Regenerate BENCH_profile.json (counted-profile phase breakdown,
+# Regenerate BENCH_profile.json (profile phase breakdown,
 # rows/sec, allocs/row, distinct-pattern ratio, incremental-append
 # speedup; GOMAXPROCS pinned per worker count).
 profile:
@@ -124,9 +126,12 @@ cluster-smoke:
 # ending in byte-parity between the committed program's
 # /v1/programs/{id}/apply output and the library path, plus exact
 # session-counter conservation in /v1/stats, under the race detector.
+# The store's create/delete/sweep conservation race test runs 20 times,
+# so a counter race that only some interleavings hit still shows.
 session-smoke:
 	$(GO) test -race -count=1 -run 'TestSessionSmoke|TestClusterSessionLoop' \
 		./internal/daemon ./internal/fleet
+	$(GO) test -race -count=20 -run 'TestConcurrentSessions' ./internal/sessionstore
 
 # Cluster parity, full matrix: every routing policy × node count {1,2,4}
 # over the whole benchmark suite, asserting byte-identical apply and

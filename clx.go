@@ -58,9 +58,9 @@ var (
 		"Latency of one pipeline stage.", nil, "stage", "apply")
 )
 
-// Profile-index counters: which execution plan profiling took (the sharded
-// distinct-value index vs the serial counted scan), how much data it
-// chewed through, and how much arrived incrementally via
+// Profile-index counters: how many profile passes ran, how many of them
+// on a multi-shard distinct-value index, how much data they chewed
+// through, and how much arrived incrementally via
 // Session.AppendAndReprofile. One set of atomics serves both surfaces —
 // clxd GET /v1/stats reports them as the ProfileIndexCounters JSON
 // document and GET /metrics exposes the same series (clx_profile_*).
@@ -68,7 +68,7 @@ var (
 	obsProfileRuns = obs.NewCounter("clx_profile_runs_total",
 		"Completed profile passes (initial sessions and incremental re-profiles).")
 	obsProfileSharded = obs.NewCounter("clx_profile_sharded_runs_total",
-		"Profile passes that ran on the sharded distinct-value index plan.")
+		"Profile passes that ran on a multi-shard distinct-value index.")
 	obsProfileIncremental = obs.NewCounter("clx_profile_incremental_runs_total",
 		"Incremental re-profiles via Session.AppendAndReprofile.")
 	obsProfileRows = obs.NewCounter("clx_profile_rows_total",
@@ -80,11 +80,10 @@ var (
 )
 
 // ProfileIndexCounters is a snapshot of the process-wide profiling
-// counters: every profile pass since process start, split by execution
-// plan, plus the row volume the passes covered. Sharded counts passes on
-// the mergeable distinct-value index; Incremental counts re-profiles of
-// appended data, which reuse the index instead of re-profiling from
-// scratch.
+// counters: every profile pass since process start plus the row volume
+// the passes covered. Sharded counts passes on an index with more than
+// one shard; Incremental counts re-profiles of appended data, which reuse
+// the session's index instead of re-profiling from scratch.
 type ProfileIndexCounters struct {
 	Profiles            int64 `json:"profiles"`
 	ShardedProfiles     int64 `json:"sharded_profiles"`
@@ -205,16 +204,15 @@ type Cluster struct {
 // internal/sessionstore holds one mutex per live session for exactly
 // this.
 type Session struct {
-	// data is the session-owned column: NewSession copies the caller's
-	// slice in and Data copies out, so no external code ever aliases it.
-	// It is the same backing slice as h.Data at all times.
-	data  []string
-	opts  Options
+	opts Options
+	// h is the current profile. h.Data is the session-owned column: the
+	// index copies the caller's rows in and Data copies out, so no
+	// external code ever aliases it.
 	h     *cluster.Hierarchy
 	stats ProfileStats
-	// ix is the sharded incremental profile index, created lazily by the
-	// first AppendAndReprofile; later appends reuse it so re-profiling
-	// costs O(appended rows), not O(column).
+	// ix is the incremental profile index NewSession profiled with; every
+	// append reuses it, so re-profiling costs O(appended rows), not
+	// O(column).
 	ix *cluster.Index
 	// gen counts the column-changing re-profiles: it starts at 0 and
 	// advances once per non-empty AppendAndReprofile. Transformations
@@ -225,7 +223,7 @@ type Session struct {
 
 // ProfileStats describes the work the Cluster phase did: input and
 // deduplicated sizes, the leaf pattern count, and the per-phase wall time.
-// The distinct/rows ratio is the lever behind counted profiling — a
+// The distinct/rows ratio is the lever behind the distinct-value index — a
 // dup-heavy column tokenizes each value once, not once per row.
 type ProfileStats struct {
 	// Rows is the input column size; DistinctValues the deduplicated size.
@@ -234,9 +232,9 @@ type ProfileStats struct {
 	LeafPatterns int
 	// Phase wall times for the profile stages.
 	Index, Tokenize, Group, Constants, Refine time.Duration
-	// Sharded reports whether profiling ran on the sharded mergeable
-	// distinct-value index (true) or the serial counted scan (false);
-	// output is byte-identical either way.
+	// Sharded reports whether the profile index has more than one shard
+	// (fixed when the session was created); output is byte-identical
+	// either way.
 	Sharded bool
 }
 
@@ -264,21 +262,21 @@ func NewSession(data []string, opts ...Options) *Session {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	owned := append([]string(nil), data...)
-	h, st := cluster.ProfileWithStats(owned, o.clusterOptions())
+	ix := cluster.NewIndex(o.clusterOptions())
+	ix.Add(data)
+	h, st := ix.ProfileWithStats()
 	recordProfile(st, false, 0)
-	return &Session{data: owned, opts: o, h: h, stats: profileStatsOf(st)}
+	return &Session{opts: o, h: h, stats: profileStatsOf(st), ix: ix}
 }
 
 // AppendAndReprofile appends rows to the session's column and re-profiles
-// it incrementally: the first call builds the session's sharded
-// distinct-value index from the existing column (one full indexing pass);
-// every later call folds only the appended rows into the per-shard counts,
-// tokenizing and interning just the values the session has never seen, and
-// re-runs only grouping and refinement — so a small append re-profiles an
-// order of magnitude faster than profiling the grown column from scratch.
-// The resulting clusters, hierarchy, and stats are byte-identical to
-// NewSession over the concatenated column.
+// it incrementally: the appended rows are folded into the index NewSession
+// built, tokenizing and interning just the values the session has never
+// seen, and only grouping and refinement re-run — so a small append
+// re-profiles an order of magnitude faster than profiling the grown
+// column from scratch. The resulting clusters and hierarchy are
+// byte-identical to NewSession over the concatenated column; the index
+// keeps the shard count it was created with.
 //
 // Transformations synthesized before the append keep operating on the
 // column snapshot they were labeled against; call Label again to
@@ -286,22 +284,15 @@ func NewSession(data []string, opts ...Options) *Session {
 // and Tokenize phases cover only the appended rows' work) is returned.
 func (s *Session) AppendAndReprofile(rows []string) ProfileStats {
 	// An empty append changes nothing: return the current stats without
-	// building the index, re-running any profile phase, or counting a
-	// profile pass. (The first-call indexing pass is paid by the first
-	// append that actually carries rows.)
+	// re-running any profile phase or counting a profile pass.
 	if len(rows) == 0 {
 		return s.stats
 	}
 	defer func(t0 time.Time) { obsProfileDur.Observe(time.Since(t0)) }(time.Now())
-	if s.ix == nil {
-		s.ix = cluster.NewIndex(s.opts.clusterOptions())
-		s.ix.Add(s.data)
-	}
 	s.ix.Add(rows)
 	h, st := s.ix.ProfileWithStats()
 	recordProfile(st, true, len(rows))
 	s.h = h
-	s.data = h.Data
 	s.stats = profileStatsOf(st)
 	s.gen++
 	return s.stats
@@ -315,7 +306,7 @@ func (s *Session) ProfileStats() ProfileStats { return s.stats }
 // session-internal state: mutating the returned slice — or the slice
 // originally passed to NewSession — never changes what the session
 // profiles or transforms.
-func (s *Session) Data() []string { return append([]string(nil), s.data...) }
+func (s *Session) Data() []string { return append([]string(nil), s.h.Data...) }
 
 // Generation reports how many times the session's column has changed:
 // 0 at NewSession, +1 per non-empty AppendAndReprofile. A Transformation
@@ -348,7 +339,7 @@ func (s *Session) Level(level int) []Cluster {
 			c.Rows = append(c.Rows, leaf.Rows...)
 		}
 		if len(c.Rows) > 0 {
-			c.Sample = s.data[c.Rows[0]]
+			c.Sample = s.h.Data[c.Rows[0]]
 		}
 		out = append(out, c)
 	}
@@ -364,7 +355,7 @@ func (s *Session) Levels() int { return len(s.h.Levels) }
 // written pattern. An error is returned only for an empty target on
 // non-empty data.
 func (s *Session) Label(target Pattern) (*Transformation, error) {
-	if target.IsEmpty() && len(s.data) > 0 {
+	if target.IsEmpty() && len(s.h.Data) > 0 {
 		return nil, fmt.Errorf("clx: empty target pattern")
 	}
 	t0 := time.Now()

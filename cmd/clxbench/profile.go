@@ -1,4 +1,4 @@
-// The profile experiment: counted-profiling throughput on the pipeline
+// The profile experiment: profiling throughput on the pipeline
 // dataset, persisted as BENCH_profile.json so the profile hot path's
 // trajectory is tracked across PRs.
 //
@@ -10,8 +10,8 @@
 // started with (on a one-CPU container the pin grants scheduling slots,
 // not extra cores — the recorded gomaxprocs documents exactly what ran).
 // For each count the experiment reports the median-of-reps wall time,
-// rows/sec, allocations per row (from runtime.MemStats deltas), which
-// execution plan profiling selected (sharded index vs serial scan), and
+// rows/sec, allocations per row (from runtime.MemStats deltas), how many
+// shards the profile index chose (16 or 1), and
 // the per-phase breakdown from cluster.ProfileWithStats. A final section
 // measures the incremental-append path: re-profiling after a 5% append
 // through cluster.Index versus profiling the grown column from scratch.
@@ -92,8 +92,9 @@ type profileReport struct {
 	Rows           int                   `json:"rows"`
 	DistinctValues int                   `json:"distinct_values"`
 	LeafPatterns   int                   `json:"leaf_patterns"`
-	// DistinctPatternRatio is leaf patterns / rows — the redundancy counted
-	// profiling collapses (1.0 would mean every row has its own pattern).
+	// DistinctPatternRatio is leaf patterns / rows — the redundancy the
+	// distinct-value index collapses (1.0 would mean every row has its own
+	// pattern).
 	DistinctPatternRatio float64         `json:"distinct_pattern_ratio"`
 	Reps                 int             `json:"reps"`
 	Runs                 []profileRun    `json:"runs"`
@@ -103,10 +104,10 @@ type profileReport struct {
 func profileExperiment() {
 	rows, _ := dataset.Phones(*pipelineRows, 6, 77)
 	reps := *pipelineReps
-	fmt.Printf("== Profile: counted clustering (rows=%d, NumCPU=%d, median of %d) ==\n",
+	fmt.Printf("== Profile: distinct-value index (rows=%d, NumCPU=%d, median of %d) ==\n",
 		len(rows), runtime.NumCPU(), reps)
 	fmt.Printf("%8s %11s %8s %12s %12s %10s %9s  %s\n",
-		"workers", "gomaxprocs", "plan", "profile", "rows/sec", "allocs/row", "speedup",
+		"workers", "gomaxprocs", "shards", "profile", "rows/sec", "allocs/row", "speedup",
 		"phases (idx/tok/grp/const/refine ms)")
 
 	report := profileReport{
@@ -130,12 +131,12 @@ func profileExperiment() {
 			run.SpeedupVsSerial = report.Runs[0].ProfileMS / run.ProfileMS
 		}
 		report.Runs = append(report.Runs, run)
-		plan := "serial"
+		shards := "1"
 		if run.Sharded {
-			plan = "sharded"
+			shards = "16"
 		}
 		fmt.Printf("%8d %11d %8s %10.2fms %12.0f %10.2f %8.2fx  %.2f/%.2f/%.2f/%.2f/%.2f\n",
-			run.Workers, run.GOMAXPROCS, plan, run.ProfileMS, run.RowsPerSec,
+			run.Workers, run.GOMAXPROCS, shards, run.ProfileMS, run.RowsPerSec,
 			run.AllocsPerRow, run.SpeedupVsSerial,
 			run.Phases.IndexMS, run.Phases.TokenizeMS, run.Phases.GroupMS,
 			run.Phases.ConstantsMS, run.Phases.RefineMS)

@@ -1,10 +1,16 @@
-// The sharded, mergeable, incremental distinct-value index behind Profile.
+// Index is the profiler behind Profile, ProfileWithStats, Initial and
+// every session: a sharded, mergeable, incremental distinct-value index.
 //
-// counted.go collapses a column into its distinct values with one serial
-// left-to-right scan; that scan — and the constant-frequency statistics
-// built over it — is what kept profiling flat as workers grew. Index
-// partitions the distinct-value space by a hash of the value bytes into N
-// independent shards (the same 16-way design as internal/intern), so
+// Real columns repeat — a 20k-row phone column has a handful of shapes and
+// often far fewer distinct strings — so the index first collapses the
+// column into its distinct values with per-value row counts. Each distinct
+// value is tokenized exactly once into a reused buffer and its token
+// sequence is hash-consed into a dense intern.PatternID. Everything
+// downstream (grouping, constant discovery, refinement) then works per
+// distinct value or per pattern id instead of per row.
+//
+// The distinct-value space is partitioned by a hash of the value bytes
+// into independent shards (the same 16-way design as internal/intern), so
 // deduplication, tokenization, pattern interning, row counting, and the
 // count-weighted constant-frequency map all run shard-parallel and merge
 // without coordination:
@@ -17,16 +23,19 @@
 //   - pattern identity is an intern.PatternID, already stable under
 //     concurrent interning.
 //
-// The one thing sharding destroys is first-seen order, which is part of
-// the user contract (cluster order, samples, row lists). Profile restores
-// it with a serial walk over per-row shard/slot references — an array
-// scan, not a re-hash — and that walk is also what makes the index
-// *incremental*: rows already folded into the cached grouping are never
-// revisited, so Add(rows); Profile() after an append costs O(new rows)
-// plus the (sub-millisecond) refinement rounds, not a full re-profile.
-// Output is byte-identical to the serial counted path — and therefore to
-// referenceProfile — for every shard count, worker count, and append
-// schedule (see index_reference_test.go).
+// The shard count is fixed on the first Add: 16 when real parallelism is
+// available and that batch is large enough to amortize shard bookkeeping,
+// otherwise 1.
+//
+// Sharding destroys first-seen order, which is part of the user contract
+// (cluster order, samples, row lists). Profile restores it with a serial
+// walk over per-row shard/slot references — an array scan, not a
+// re-hash — and that walk is also what makes the index *incremental*:
+// rows already folded into the cached grouping are never revisited, so
+// Add(rows); Profile() after an append costs O(new rows) plus the
+// (sub-millisecond) refinement rounds, not a full re-profile. Output is
+// byte-identical to referenceProfile for every shard count, worker count,
+// and append schedule (see index_reference_test.go).
 package cluster
 
 import (
@@ -44,12 +53,28 @@ const (
 	// profile workers rarely collide, few enough that per-shard maps stay
 	// cache-friendly.
 	defaultIndexShards = 16
-	// shardedMinRows is the column size under which ProfileWithStats keeps
-	// the serial counted path: below it, shard bookkeeping (per-row hashes,
-	// per-chunk bucket lists, goroutine handoff) costs more than the serial
-	// scan it replaces. See TestProfileAutoCollapse.
+	// shardedMinRows is the first-Add batch size under which the index
+	// keeps a single shard: below it, shard bookkeeping (per-chunk bucket
+	// lists, goroutine handoff) costs more than it saves. See
+	// TestProfileAutoCollapse.
 	shardedMinRows = 4096
 )
+
+// Stats reports what one profile pass saw and where the time went, for the
+// clxbench profile experiment and callers that monitor profiling cost.
+type Stats struct {
+	// Rows is the input column size; DistinctValues the number of unique
+	// strings in it; LeafPatterns the number of initial clusters.
+	Rows, DistinctValues, LeafPatterns int
+	// Per-phase wall time: Index and Tokenize cover the routing and
+	// absorption phases of the Adds since the previous profile; then
+	// cluster grouping, constant discovery, hierarchy refinement.
+	Index, Tokenize, Group, Constants, Refine time.Duration
+	// Sharded reports whether the index has more than one shard. Output
+	// is byte-identical either way; the flag exists for monitoring and for
+	// the shard-count rule tests.
+	Sharded bool
+}
 
 // slotRef names one distinct value: the shard owning it and its slot there.
 type slotRef struct {
@@ -120,38 +145,42 @@ type Index struct {
 	pendIndex, pendTokenize time.Duration
 }
 
-// NewIndex returns an empty index with the default 16-way sharding.
-func NewIndex(opts Options) *Index { return NewIndexShards(opts, defaultIndexShards) }
+// NewIndex returns an empty index. Its shard count is chosen by the first
+// non-empty Add (see Add) and fixed for the index's lifetime.
+func NewIndex(opts Options) *Index {
+	return &Index{
+		opts:      opts,
+		table:     intern.NewTable(),
+		clusterOf: make(map[intern.PatternID]int32, 64),
+	}
+}
 
-// NewIndexShards is NewIndex with an explicit shard count, which must be a
-// power of two (the differential suite pins output equality across 1, 4,
-// and 16 shards; production callers want the default).
-func NewIndexShards(opts Options, shards int) *Index {
+// newIndexShards is NewIndex with an explicit shard count, which must be a
+// power of two; the differential suite uses it to pin output equality
+// across shard counts.
+func newIndexShards(opts Options, shards int) *Index {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		panic("cluster: shard count must be a power of two")
 	}
-	ix := &Index{
-		opts:      opts,
-		mask:      uint64(shards - 1),
-		table:     intern.NewTable(),
-		shards:    make([]indexShard, shards),
-		clusterOf: make(map[intern.PatternID]int32, 64),
-	}
+	ix := NewIndex(opts)
+	ix.setShards(shards)
+	return ix
+}
+
+// setShards allocates n empty shards (n a power of two).
+func (ix *Index) setShards(n int) {
+	ix.mask = uint64(n - 1)
+	ix.shards = make([]indexShard, n)
 	for s := range ix.shards {
 		ix.shards[s].buckets = make(map[uint64]int32)
-		if opts.DiscoverConstants {
+		if ix.opts.DiscoverConstants {
 			ix.shards[s].cfreq = make(map[string]int)
 		}
 	}
-	return ix
 }
 
 // Rows returns the number of rows added so far.
 func (ix *Index) Rows() int { return len(ix.data) }
-
-// Data returns the concatenation of every Add, in order. The slice is the
-// index's backing store; callers must not mutate it.
-func (ix *Index) Data() []string { return ix.data }
 
 // DistinctValues returns the merged distinct-value count across shards.
 func (ix *Index) DistinctValues() int {
@@ -176,22 +205,33 @@ func (ix *Index) DistinctCounts() map[string]int {
 	return out
 }
 
-// Add appends rows to the indexed column. Work is two parallel phases:
-// route (hash every row to its shard) and absorb (each shard deduplicates
-// its rows, tokenizes and interns values it has never seen, and bumps row
-// counts and constant-frequency statistics). A value that already exists
-// costs one hash, one bucket probe, and one count increment — O(new
-// distinct values) of tokenize/intern work per append, not O(rows).
+// Add appends a copy of rows to the indexed column. Work is two parallel
+// phases: route (hash every row to its shard) and absorb (each shard
+// deduplicates its rows, tokenizes and interns values it has never seen,
+// and bumps row counts and constant-frequency statistics). A value that
+// already exists costs one hash, one bucket probe, and one count
+// increment — O(new distinct values) of tokenize/intern work per append,
+// not O(rows).
+//
+// The first non-empty Add fixes the shard count: 16 when
+// parallel.Effective(Workers) >= 2 and the batch has at least
+// shardedMinRows rows, otherwise 1.
 func (ix *Index) Add(rows []string) {
 	if len(rows) == 0 {
 		return
 	}
 	t0 := time.Now()
+	workers := parallel.Effective(ix.opts.Workers)
+	if ix.shards == nil {
+		n := 1
+		if workers >= 2 && len(rows) >= shardedMinRows {
+			n = defaultIndexShards
+		}
+		ix.setShards(n)
+	}
 	base := len(ix.data)
 	ix.data = append(ix.data, rows...)
 	ix.rowRef = append(ix.rowRef, make([]slotRef, len(rows))...)
-
-	workers := parallel.Effective(ix.opts.Workers)
 	nshards := len(ix.shards)
 
 	// Route: hash each appended row and bucket it per (chunk, shard).
@@ -281,10 +321,11 @@ func (ix *Index) Add(rows []string) {
 }
 
 // constantCandidates appends the distinct candidate substrings of value s
-// under pattern id — the values of non-literal tokens no longer than
-// MaxConstantLen, exactly the substrings discoverConstants counts on the
-// serial path. Initial patterns carry only fixed quantifiers, so spans are
-// a cumulative FixedLen walk.
+// under pattern id: the values of its non-literal tokens no longer than
+// MaxConstantLen. Longer substrings are never counted because frequent is
+// only consulted for freeze candidates at or under that cap. Initial
+// patterns carry only fixed quantifiers (tokenize never emits '+'), so
+// spans are a cumulative FixedLen walk with no per-row matching.
 func (ix *Index) constantCandidates(vals []string, s string, id intern.PatternID) []string {
 	off := 0
 	for _, t := range ix.table.Tokens(id) {
@@ -320,8 +361,8 @@ func (ix *Index) frequent(v string) bool {
 
 // walk folds rows [grouped, len(data)) into the cached grouping. The scan
 // is serial and in global row order — the first row carrying a pattern
-// still defines its cluster's position and sample, exactly as the serial
-// counted path's first-seen scan does — but it touches only appended rows:
+// defines its cluster's position and sample, exactly as the reference
+// per-row scan does — but it touches only appended rows:
 // per row, one array read and one int append; per *new* distinct value,
 // one map probe on its pattern id.
 func (ix *Index) walk() {
@@ -359,8 +400,26 @@ func (ix *Index) Profile() *Hierarchy {
 // the previous profile (zero for a pure re-profile), so an incremental
 // re-profile's stats show only the work the append actually caused.
 func (ix *Index) ProfileWithStats() (*Hierarchy, *Stats) {
+	clusters, st := ix.initial()
+	t0 := time.Now()
+	leaves := make([]*Node, len(clusters))
+	for i, c := range clusters {
+		leaves[i] = &Node{Pattern: c.Pattern, Level: 0, Leaves: []*Cluster{c}}
+	}
+	h := &Hierarchy{Levels: [][]*Node{leaves}, Clusters: clusters, Data: ix.data}
+	for level, g := range []Strategy{QuantToPlus, LettersToAlpha, AllToAlphaNum} {
+		h.Levels = append(h.Levels, refine(h.Levels[level], g, level+1, ix.table))
+	}
+	st.Refine = time.Since(t0)
+	return h, st
+}
+
+// initial materializes the level-0 clusters of everything added so far,
+// in first-seen order, with constant tokens frozen; st carries every
+// phase timing except Refine.
+func (ix *Index) initial() ([]*Cluster, *Stats) {
 	st := &Stats{
-		Sharded:  true,
+		Sharded:  len(ix.shards) > 1,
 		Index:    ix.pendIndex,
 		Tokenize: ix.pendTokenize,
 	}
@@ -388,34 +447,24 @@ func (ix *Index) ProfileWithStats() (*Hierarchy, *Stats) {
 	})
 	t1 := time.Now()
 	if ix.opts.DiscoverConstants {
+		// Constant substitution can only refine labels, never merge
+		// clusters, so the partition is unchanged.
 		parallel.For(workers, len(clusters), func(i int) {
 			ix.freezeConstants(clusters[i], ix.groups[i])
 		})
 	}
-	t2 := time.Now()
-
 	st.Rows = len(ix.data)
 	st.DistinctValues = ix.DistinctValues()
 	st.LeafPatterns = len(clusters)
 	st.Group = t1.Sub(t0)
-	st.Constants = t2.Sub(t1)
-
-	leaves := make([]*Node, len(clusters))
-	for i, c := range clusters {
-		leaves[i] = &Node{Pattern: c.Pattern, Level: 0, Leaves: []*Cluster{c}}
-	}
-	h := &Hierarchy{Levels: [][]*Node{leaves}, Clusters: clusters, Data: ix.data}
-	for level, g := range []Strategy{QuantToPlus, LettersToAlpha, AllToAlphaNum} {
-		h.Levels = append(h.Levels, refine(h.Levels[level], g, level+1, ix.table))
-	}
-	st.Refine = time.Since(t2)
-	return h, st
+	st.Constants = time.Since(t1)
+	return clusters, st
 }
 
-// freezeConstants rewrites c's constant base tokens to literals, checking
-// constancy across the group's distinct members and frequency against the
-// sharded count maps — the same decisions, in the same order, as
-// freezeClusterConstants on the serial path.
+// freezeConstants rewrites c's constant base tokens to literals (§4.1),
+// checking constancy across the group's distinct members only — identical
+// rows can neither create nor break constancy — and frequency against the
+// sharded count maps.
 func (ix *Index) freezeConstants(c *Cluster, g *group) {
 	if len(g.rows) < ix.opts.MinConstantSupport {
 		return

@@ -67,7 +67,7 @@ func TestShardedIndexMatchesReference(t *testing.T) {
 					ixOpts.Workers = w
 
 					// All at once.
-					ix := NewIndexShards(ixOpts, shards)
+					ix := newIndexShards(ixOpts, shards)
 					ix.Add(rows)
 					if got := hierarchyFingerprint(ix.Profile()); got != ref(len(rows)) {
 						t.Errorf("%s discover=%v shards=%d workers=%d: all-at-once diverges from reference",
@@ -75,7 +75,7 @@ func TestShardedIndexMatchesReference(t *testing.T) {
 					}
 
 					// Four increments, profiling after each.
-					ix = NewIndexShards(ixOpts, shards)
+					ix = newIndexShards(ixOpts, shards)
 					added := 0
 					for _, inc := range increments(rows, 4) {
 						ix.Add(inc)
@@ -91,11 +91,11 @@ func TestShardedIndexMatchesReference(t *testing.T) {
 	}
 }
 
-// TestProfileAutoCollapse pins the plan-selection rule: the sharded plan
-// runs only when effective parallelism is at least 2 AND the column is at
-// least shardedMinRows — so a one-CPU machine, a serial request, or a
-// small column all take the serial counted path and can never regress
-// behind it.
+// TestProfileAutoCollapse pins the shard-count rule: the first Add builds
+// 16 shards only when effective parallelism is at least 2 AND the batch
+// is at least shardedMinRows — so a one-CPU machine, a serial request, or
+// a small column all run on one shard — and later Adds never change the
+// count.
 func TestProfileAutoCollapse(t *testing.T) {
 	big, _ := dataset.Phones(shardedMinRows, 6, 77)
 	small := big[:shardedMinRows/8]
@@ -125,14 +125,34 @@ func TestProfileAutoCollapse(t *testing.T) {
 		})
 	}
 
-	// Whichever plan runs, the bytes match.
+	// A small first batch fixes one shard; appending past the threshold
+	// keeps it, and the output still matches the reference.
+	t.Run("one-shard-grows-past-threshold", func(t *testing.T) {
+		pinGOMAXPROCS(t, 4)
+		opts := DefaultOptions()
+		opts.Workers = 4
+		ix := NewIndex(opts)
+		ix.Add(small)
+		ix.Add(big)
+		h, st := ix.ProfileWithStats()
+		if st.Sharded || len(ix.shards) != 1 {
+			t.Errorf("after growing to %d rows: Sharded=%v with %d shards, want one shard",
+				st.Rows, st.Sharded, len(ix.shards))
+		}
+		grown := append(append([]string(nil), small...), big...)
+		if hierarchyFingerprint(h) != hierarchyFingerprint(referenceProfile(grown, opts)) {
+			t.Error("one-shard index grown past the threshold diverges from reference")
+		}
+	})
+
+	// Whichever shard count runs, the bytes match.
 	opts := DefaultOptions()
 	opts.Workers = 1
 	want := hierarchyFingerprint(Profile(big, opts))
 	pinGOMAXPROCS(t, 4)
 	opts.Workers = 4
 	if got := hierarchyFingerprint(Profile(big, opts)); got != want {
-		t.Error("sharded plan diverges from serial plan on the same column")
+		t.Error("16-shard profile diverges from 1-shard profile on the same column")
 	}
 }
 
@@ -168,8 +188,8 @@ func TestIndexIncrementalState(t *testing.T) {
 	}
 
 	_, st := ix.ProfileWithStats()
-	if st.Rows != len(rows) || !st.Sharded {
-		t.Errorf("stats = %+v, want Rows=%d Sharded=true", st, len(rows))
+	if st.Rows != len(rows) || st.Sharded {
+		t.Errorf("stats = %+v, want Rows=%d Sharded=false (600-row first batch)", st, len(rows))
 	}
 	// Re-profile without an Add: the pending Add timings were consumed.
 	_, st2 := ix.ProfileWithStats()
@@ -196,21 +216,22 @@ func TestIndexReturnedHierarchyImmutable(t *testing.T) {
 	}
 }
 
-// TestNewIndexShardsValidation: shard counts must be powers of two.
+// TestNewIndexShardsValidation: explicit shard counts must be powers of
+// two.
 func TestNewIndexShardsValidation(t *testing.T) {
 	for _, bad := range []int{0, -1, 3, 12} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewIndexShards(%d) did not panic", bad)
+					t.Errorf("newIndexShards(%d) did not panic", bad)
 				}
 			}()
-			NewIndexShards(DefaultOptions(), bad)
+			newIndexShards(DefaultOptions(), bad)
 		}()
 	}
 	for _, ok := range []int{1, 2, 8, 16} {
-		if got := len(NewIndexShards(DefaultOptions(), ok).shards); got != ok {
-			t.Errorf("NewIndexShards(%d) has %d shards", ok, got)
+		if got := len(newIndexShards(DefaultOptions(), ok).shards); got != ok {
+			t.Errorf("newIndexShards(%d) has %d shards", ok, got)
 		}
 	}
 }

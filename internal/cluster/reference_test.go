@@ -1,7 +1,7 @@
 package cluster
 
 // The reference implementation: the per-row, string-keyed profiling path
-// this package shipped before pattern interning and counted clustering.
+// this package shipped before pattern interning and distinct-value dedup.
 // It is kept verbatim (serialized where the original fanned out) as the
 // executable specification the optimized path must reproduce bit for bit —
 // every equivalence test below diffs full hierarchies against it.
@@ -198,11 +198,11 @@ func referenceColumns() map[string][]string {
 	return cols
 }
 
-// TestCountedMatchesReference is the central equivalence theorem of the
-// counted-profiling rewrite: for every corpus, option set, and worker
-// count, the optimized Profile emits a hierarchy byte-identical to the
-// reference per-row implementation.
-func TestCountedMatchesReference(t *testing.T) {
+// TestProfileMatchesReference is the central equivalence theorem of the
+// distinct-value index: for every corpus, option set, and worker count,
+// Profile emits a hierarchy byte-identical to the reference per-row
+// implementation.
+func TestProfileMatchesReference(t *testing.T) {
 	for name, rows := range referenceColumns() {
 		for _, discover := range []bool{true, false} {
 			opts := DefaultOptions()
@@ -213,7 +213,7 @@ func TestCountedMatchesReference(t *testing.T) {
 				opts.Workers = w
 				got := hierarchyFingerprint(Profile(rows, opts))
 				if got != want {
-					t.Errorf("%s discover=%v workers=%d: counted profile diverges from reference\ngot:\n%s\nwant:\n%s",
+					t.Errorf("%s discover=%v workers=%d: profile diverges from reference\ngot:\n%s\nwant:\n%s",
 						name, discover, w, got, want)
 				}
 			}
@@ -245,15 +245,15 @@ func TestInitialMatchesReference(t *testing.T) {
 }
 
 // benchRows is the benchmark corpus: the 20k-row phone column the pipeline
-// experiment uses, which is also adversarial for the counted path (random
-// digits make nearly every row distinct).
+// experiment uses, which is also adversarial for distinct-value dedup
+// (random digits make nearly every row distinct).
 func benchRows(b *testing.B) []string {
 	b.Helper()
 	rows, _ := dataset.Phones(20000, 6, 77)
 	return rows
 }
 
-func BenchmarkProfileCounted(b *testing.B) {
+func BenchmarkProfile(b *testing.B) {
 	rows := benchRows(b)
 	opts := DefaultOptions()
 	opts.Workers = 1

@@ -20,8 +20,10 @@
 // idle and is skipped, never blocked on. Deleting and evicting both
 // remove the handle from the map first and then mark it evicted under
 // its own lock, so an in-flight Acquire that already fetched the handle
-// observes the tombstone and reports the session gone. The clock is
-// injectable (Config.Now) so eviction is deterministic under test.
+// observes the tombstone and reports the session gone. Whichever of
+// Delete and Sweep sets the tombstone is the one that counts the
+// session. The clock is injectable (Config.Now) so eviction is
+// deterministic under test.
 //
 // Capacity. MaxSessions bounds the live set; Create past the bound
 // returns ErrFull and RetryAfter estimates when the next TTL expiry will
@@ -218,7 +220,7 @@ func (st *Store) Acquire(id string) (*Handle, func(), error) {
 }
 
 // Delete removes the session id, waiting out any in-flight use. Returns
-// false if the id is unknown.
+// false if the id is unknown or a concurrent Sweep evicted it first.
 func (st *Store) Delete(id string) bool {
 	st.mu.Lock()
 	h := st.m[id]
@@ -228,10 +230,13 @@ func (st *Store) Delete(id string) bool {
 		return false
 	}
 	h.mu.Lock()
-	h.evicted = true
-	h.sess = nil
-	h.tr = nil
-	h.meta = nil
+	// A Sweep holding the lock before us may already have evicted and
+	// counted this handle; only the side that evicts it counts it.
+	if h.evicted {
+		h.mu.Unlock()
+		return false
+	}
+	h.evict()
 	h.mu.Unlock()
 	st.deleted.Add(1)
 	obsDeleted.Inc()
@@ -272,13 +277,14 @@ func (st *Store) Sweep() int {
 			h.mu.Unlock()
 			continue
 		}
+		// A concurrent Delete may have removed the entry already, and a
+		// create may have re-used the id since: drop only this handle.
 		st.mu.Lock()
-		delete(st.m, h.id)
+		if st.m[h.id] == h {
+			delete(st.m, h.id)
+		}
 		st.mu.Unlock()
-		h.evicted = true
-		h.sess = nil
-		h.tr = nil
-		h.meta = nil
+		h.evict()
 		h.mu.Unlock()
 		n++
 		st.evicted.Add(1)
@@ -366,3 +372,12 @@ func (st *Store) Stats() Counters {
 }
 
 func (h *Handle) touch(now time.Time) { h.lastUsed.Store(now.UnixNano()) }
+
+// evict tombstones the handle and drops the session state. The caller
+// holds h.mu.
+func (h *Handle) evict() {
+	h.evicted = true
+	h.sess = nil
+	h.tr = nil
+	h.meta = nil
+}

@@ -79,7 +79,7 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestCountedPathDeterminism stresses the counted-cluster profile path
+// TestCountedPathDeterminism stresses the distinct-value profile index
 // specifically: a dup-heavy column (every distinct value repeated many
 // times) mixed with empties and multi-byte unicode rows, the shapes where
 // value deduplication, count weighting, and literal-run tokenization all

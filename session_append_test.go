@@ -7,10 +7,12 @@ package clx_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	clx "clx"
 	"clx/internal/dataset"
+	"clx/internal/parallel"
 )
 
 // sameProfile asserts two sessions expose identical public profile state:
@@ -33,20 +35,46 @@ func sameProfile(t *testing.T, got, want *clx.Session, label string) {
 	}
 }
 
+// TestAppendAndReprofileMatchesFresh: any append schedule reproduces a
+// fresh session over the grown column, on columns on both sides of the
+// 4096-row shard threshold. The session's index keeps the shard count its
+// create batch chose: 16 shards only when the create batch reaches 4096
+// rows with at least two effective workers, so a session created small
+// stays on one shard however far it grows.
 func TestAppendAndReprofileMatchesFresh(t *testing.T) {
-	rows, _ := dataset.Phones(600, 6, 41)
-	for _, cuts := range [][]int{{300}, {150, 300, 450}, {0, 600}} {
-		sess := clx.NewSession(rows[:cuts[0]])
-		prev := cuts[0]
-		for _, cut := range cuts[1:] {
-			sess.AppendAndReprofile(rows[prev:cut])
-			prev = cut
+	procs := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(procs)
+	small, _ := dataset.Phones(600, 6, 41)
+	large, _ := dataset.Phones(6000, 6, 41)
+	schedules := []struct {
+		rows []string
+		cuts []int
+	}{
+		{small, []int{300}},
+		{small, []int{150, 300, 450}},
+		{small, []int{0, 600}},
+		{large, []int{5700}},       // created sharded-sized
+		{large, []int{3000, 4500}}, // created small, grown past 4096
+	}
+	for _, workers := range []int{1, 0} {
+		opts := clx.DefaultOptions()
+		opts.Workers = workers
+		for _, sc := range schedules {
+			rows, cuts := sc.rows, sc.cuts
+			sess := clx.NewSession(rows[:cuts[0]], opts)
+			prev := cuts[0]
+			for _, cut := range cuts[1:] {
+				sess.AppendAndReprofile(rows[prev:cut])
+				prev = cut
+			}
+			st := sess.AppendAndReprofile(rows[prev:])
+			wantSharded := parallel.Effective(workers) >= 2 && cuts[0] >= 4096
+			if st.Rows != len(rows) || st.Sharded != wantSharded {
+				t.Fatalf("workers=%d rows=%d cuts %v: stats = %+v, want Rows=%d Sharded=%v",
+					workers, len(rows), cuts, st, len(rows), wantSharded)
+			}
+			sameProfile(t, sess, clx.NewSession(rows, opts), "append schedule")
 		}
-		st := sess.AppendAndReprofile(rows[prev:])
-		if st.Rows != len(rows) || !st.Sharded {
-			t.Fatalf("cuts %v: stats = %+v, want Rows=%d Sharded=true", cuts, st, len(rows))
-		}
-		sameProfile(t, sess, clx.NewSession(rows), "append schedule")
 	}
 }
 
