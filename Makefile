@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: test race gate cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke
+.PHONY: test race gate cover fuzz-smoke apply-parity profile-parity bench bench-profile bench-repair bench-check pipeline profile bench-store bench-stream bench-obs obs-smoke bench-apply load-smoke bench-load cluster-smoke cluster-parity session-smoke
 
 # Tier-1: vet + build + unit tests (ROADMAP.md contract).
 test:
@@ -27,9 +27,13 @@ gate: test race cover fuzz-smoke apply-parity profile-parity obs-smoke load-smok
 # Apply-parity smoke: the byte-automaton engine must produce byte-identical
 # output (rows, flagged indices, errors) to the retained backtracking
 # engine over the 47-task benchmark suite, across chunk sizes and worker
-# counts, under the race detector.
+# counts; the automaton compiled on first use must compile exactly once
+# under concurrent first applies, and never for programs only registered;
+# and the distinct-value repair ranking must equal the per-row reference
+# scorer candidate for candidate — all under the race detector.
 apply-parity:
-	$(GO) test -race -run 'TestAutomatonDifferentialBenchSuite' .
+	$(GO) test -race -run 'TestAutomatonDifferentialBenchSuite|TestLazyAutomatonConcurrentFirstUse|TestRepairCandidatesMatchReference' .
+	$(GO) test -race -run 'TestRegisterCompilesNoAutomaton' ./internal/progstore
 
 # Profile-parity smoke: the sharded, mergeable, incremental profile index
 # must emit byte-identical hierarchies to the reference per-row profiler
@@ -60,6 +64,12 @@ bench:
 bench-profile:
 	$(GO) test -run xxx -bench 'BenchmarkTokenize|BenchmarkIntern|BenchmarkProfile' -benchmem \
 		./internal/tokenize ./internal/intern ./internal/cluster
+
+# Repair-ranking micro-benchmarks: RepairCandidates over the interactive
+# workload's column shapes (phones, dates, low-cardinality ids at 1.5k and
+# 16k rows) against the per-row reference scorer.
+bench-repair:
+	$(GO) test -run xxx -bench 'BenchmarkRepairCandidates' -benchmem .
 
 # Regenerate BENCH_pipeline.json (serial-vs-parallel stage timings).
 pipeline:

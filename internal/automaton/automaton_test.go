@@ -215,7 +215,7 @@ func TestAutomatonPlanErrorParity(t *testing.T) {
 		t.Fatalf("plan error = %v, want %q", err, want)
 	}
 	// The partial prefix before the failing op must append, like the
-	// reference appendSpans.
+	// reference AppendSpans.
 	out, err := m.AppendApply([]byte("x|"), "123", m.NewArena())
 	if err == nil || string(out) != "x|pre-" {
 		t.Fatalf("partial append = (%q, %v)", out, err)

@@ -1,7 +1,7 @@
 // Lowering a guarded UniFi program into the Machine's tables: token
 // lowering, the Glushkov position NFA over every case at once, the byte →
 // alphabet-class map, and the subset-construction dispatch DFA. All of it
-// runs once per program version at registry load time; none of it runs on
+// runs once per loaded program, on its first apply; none of it runs on
 // the per-row path.
 package automaton
 

@@ -1,17 +1,18 @@
 // Process-wide automaton-compilation counters, backed by internal/obs so
 // the same numbers serve GET /v1/stats (JSON) and GET /metrics
 // (Prometheus text). A deployment watches the fallback counter: a nonzero
-// rate means some registered programs still apply through the
-// backtracking reference engine instead of the fused automaton.
+// rate means some applied programs still run through the backtracking
+// reference engine instead of the fused automaton. Saved programs compile
+// on first apply, so both counters count first-use compiles.
 package automaton
 
 import "clx/internal/obs"
 
 var (
 	mCompiled = obs.NewCounter("clx_automaton_compiled_total",
-		"Guarded programs successfully compiled to fused byte automata.")
+		"Guarded programs successfully compiled to fused byte automata, counted at each program's first apply.")
 	mFallback = obs.NewCounter("clx_automaton_fallback_total",
-		"Guarded programs the automaton compiler could not lower (served by the backtracking engine).")
+		"Guarded programs the automaton compiler could not lower at first apply (served by the backtracking engine).")
 )
 
 // Counters is a snapshot of the process-wide compilation totals.

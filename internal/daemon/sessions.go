@@ -287,7 +287,20 @@ func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionL
 	tr := h.Transformation()
 	rows := h.Session().Data()
 	resp := sessionLabelResponse{Generation: tr.Generation()}
-	for i, op := range tr.Replaces() {
+	// Ops and sources are indexed differently: a source repaired with
+	// examples renders as one op per guarded case, and guarded formats
+	// outside the synthesized sources render ops of their own. Each op
+	// lists the ranked plans of its own source pattern, if it has one.
+	sources := tr.Sources()
+	alts := make([][]string, len(sources))
+	bySource := make(map[string]int, len(sources))
+	for i, src := range sources {
+		for _, alt := range tr.Alternatives(i) {
+			alts[i] = append(alts[i], alt.Replacement)
+		}
+		bySource[src.Key()] = i
+	}
+	for _, op := range tr.Replaces() {
 		j := opJSON{
 			NL:          op.NLRegex(),
 			Regex:       op.Regex(),
@@ -299,16 +312,17 @@ func (s *server) labelResponse(h *sessionstore.Handle, previewRows int) sessionL
 				j.Preview = append(j.Preview, previewJSON{Input: p.Input, Output: p.Output})
 			}
 		}
-		for _, alt := range tr.Alternatives(i) {
-			j.Alternatives = append(j.Alternatives, alt.Replacement)
+		if i, ok := bySource[op.Source.Key()]; ok {
+			j.Alternatives = alts[i]
 		}
 		resp.Ops = append(resp.Ops, j)
 	}
-	for i, src := range tr.Sources() {
+	// Plan counts only: scoring the plans is GET .../repair's job.
+	for i, src := range sources {
 		resp.Sources = append(resp.Sources, sessionSourceJSON{
 			Index:   i,
 			Pattern: src.String(),
-			Plans:   len(tr.RepairCandidates(i)),
+			Plans:   len(alts[i]),
 		})
 	}
 	_, resp.Flagged = tr.Run()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -340,6 +341,73 @@ func TestSessionTTLEvictionOverHTTP(t *testing.T) {
 
 // TestSessionValidation covers the plain-4xx edges: empty rows, missing
 // target, unknown session, bad repair body.
+// TestSessionRepairExamplesAlternatives pins that every op of a label
+// reply lists the ranked plans of its own source. A repair with examples
+// splits one source into guarded cases, so op indices run ahead of
+// source indices; keying alternatives by op index used to hand the
+// guarded op the next source's plans and the last op none.
+func TestSessionRepairExamplesAlternatives(t *testing.T) {
+	h := testMux(t)
+	rows := []string{"Pic 001", "Inv 001", "Pic 002", "Inv 002", "Pic 003", "AB/778", "CD/779", "PIC-777"}
+	examples := map[string]string{"Pic 001": "PIC-001", "Pic 002": "PIC-002", "Inv 001": "INV-001", "Inv 002": "INV-002"}
+	const target = "<U>+'-'<D>+"
+
+	createBody, _ := json.Marshal(map[string]any{"rows": rows})
+	repairBody, _ := json.Marshal(map[string]any{"examples": examples})
+
+	code, body, _ := sessionRequest(t, h, "POST", "/v1/sessions", string(createBody), "s-ex")
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	if code, body, _ := sessionRequest(t, h, "POST", "/v1/sessions/s-ex/label",
+		`{"target":"<U>+'-'<D>+"}`, ""); code != http.StatusOK {
+		t.Fatalf("label: %d %s", code, body)
+	}
+	code, body, _ = sessionRequest(t, h, "POST", "/v1/sessions/s-ex/repair", string(repairBody), "")
+	if code != http.StatusOK {
+		t.Fatalf("repair with examples: %d %s", code, body)
+	}
+	got := mustJSON[sessionLabelResponse](t, body)
+
+	// The library view of the same repair.
+	tr, err := clx.NewSession(rows).Label(clx.MustParsePattern(target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RepairWithExamples(examples); err != nil {
+		t.Fatal(err)
+	}
+	ops := tr.Replaces()
+	if len(ops) <= len(tr.Sources()) {
+		t.Fatalf("fixture no longer splits a source: %d ops over %d sources", len(ops), len(tr.Sources()))
+	}
+	if len(got.Ops) != len(ops) {
+		t.Fatalf("ops = %d, want %d", len(got.Ops), len(ops))
+	}
+	for k, op := range ops {
+		var want []string
+		for i, src := range tr.Sources() {
+			if src.Equal(op.Source) {
+				for _, alt := range tr.Alternatives(i) {
+					want = append(want, alt.Replacement)
+				}
+				break
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("op %d (%s) has no source in %v", k, op.Source, tr.Sources())
+		}
+		if g := got.Ops[k]; g.Source != op.Source.String() || !slices.Equal(g.Alternatives, want) {
+			t.Errorf("op %d on %s: alternatives %q, want %s's %q", k, g.Source, g.Alternatives, op.Source, want)
+		}
+	}
+	for i, src := range got.Sources {
+		if want := len(tr.Alternatives(i)); src.Plans != want {
+			t.Errorf("source %d plans = %d, want %d", i, src.Plans, want)
+		}
+	}
+}
+
 func TestSessionValidation(t *testing.T) {
 	h := testMux(t)
 	if code, _, _ := sessionRequest(t, h, "POST", "/v1/sessions", `{"rows":[]}`, ""); code != http.StatusBadRequest {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	clx "clx"
+	"clx/internal/automaton"
 	"clx/internal/synth"
 )
 
@@ -147,6 +148,50 @@ func TestApplyHotPathAndDrift(t *testing.T) {
 
 	if _, err := s.Apply("p999999", live, 1); err != ErrNotFound {
 		t.Fatalf("Apply unknown id err = %v", err)
+	}
+}
+
+// Registering loads each program but compiles no automaton: the compile
+// (and the machine's memory) waits for the first apply, so a registry
+// full of programs nobody applies holds none. Reopening the store
+// reloads every program, still without compiling; the first apply of one
+// compiles exactly that one.
+func TestRegisterCompilesNoAutomaton(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := automaton.GlobalStats()
+	var ids []string
+	for i := 0; i < 8; i++ {
+		e, err := s.Register(makeProgram(t, phoneRows, phoneTarget), Meta{Name: fmt.Sprintf("p%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.ID)
+	}
+	if got := automaton.GlobalStats(); got != before {
+		t.Fatalf("registering %d programs compiled automata: %+v → %+v", len(ids), before, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := automaton.GlobalStats(); got != before {
+		t.Fatalf("reopening compiled automata: %+v → %+v", before, got)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Apply(ids[0], phoneRows, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := automaton.GlobalStats(); got.Compiled != before.Compiled+1 || got.Fallback != before.Fallback {
+		t.Fatalf("two applies of one program: %+v → %+v, want exactly one compile", before, got)
 	}
 }
 

@@ -151,7 +151,7 @@ func (cp *CompiledGuardedProgram) AppendApply(dst []byte, s string) ([]byte, err
 				continue
 			}
 		}
-		return c.plan.appendSpans(dst, s, spans)
+		return c.plan.AppendSpans(dst, s, spans)
 	}
 	return dst, ErrNoMatch
 }
@@ -190,8 +190,12 @@ func (p Plan) applySpans(s string, spans []rematch.Span) (string, error) {
 	return b.String(), nil
 }
 
-// appendSpans is applySpans into a caller-owned buffer.
-func (p Plan) appendSpans(dst []byte, s string, spans []rematch.Span) ([]byte, error) {
+// AppendSpans evaluates the plan over spans, the per-token match of s
+// against the plan's source pattern, appending the output to dst — the
+// allocation-free form for callers that match a value once and run
+// several plans over the same spans. On error dst is returned grown by
+// whatever the plan wrote before the failing operator.
+func (p Plan) AppendSpans(dst []byte, s string, spans []rematch.Span) ([]byte, error) {
 	for _, op := range p.Ops {
 		switch op := op.(type) {
 		case ConstStr:

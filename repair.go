@@ -26,6 +26,7 @@ import (
 
 	"clx/internal/rematch"
 	"clx/internal/replace"
+	"clx/internal/synth"
 	"clx/internal/token"
 	"clx/internal/unifi"
 )
@@ -63,44 +64,51 @@ type RepairCandidate struct {
 // snapshot rows that source covers and returns them best-first. It never
 // mutates the transformation; pass a candidate's (Source, Alt) to Repair
 // to adopt it. Out-of-range sources return nil.
+//
+// Scoring costs one source match per distinct not-yet-clean value plus
+// one plan evaluation per (value, plan) pair: repeated values are
+// weighed by their row count, and every plan runs over the same match
+// spans into one reused buffer.
 func (t *Transformation) RepairCandidates(i int) []RepairCandidate {
 	if i < 0 || i >= len(t.res.Sources) {
 		return nil
 	}
 	src := t.res.Sources[i]
 	target := rematch.CompileCached(t.res.Target.Tokens())
-	// The source's rows, from the snapshot the transformation was labeled
-	// against. Rows already in the target pattern are untouched by Run,
-	// so they are excluded from the residual count.
-	var rows []string
-	if src.Node != nil {
-		for _, c := range src.Node.Leaves {
-			for _, ri := range c.Rows {
-				if v := t.data[ri]; !target.Matches(v) {
-					rows = append(rows, v)
-				}
-			}
-		}
-	}
 	cur := planOps(src.Plans[src.Chosen].Plan, src.Source)
 	out := make([]RepairCandidate, 0, len(src.Plans))
 	for j, r := range src.Plans {
-		c := RepairCandidate{
+		out = append(out, RepairCandidate{
 			Source:       i,
 			Alt:          j,
 			Op:           replace.ExplainCase(unifi.Case{Source: src.Source, Plan: r.Plan}),
 			DL:           r.DL,
 			EditDistance: editDistance(cur, planOps(r.Plan, src.Source)),
 			Selected:     j == src.Chosen,
-		}
-		for _, v := range rows {
-			got, err := r.Plan.Apply(src.Source, v)
-			if err != nil || !target.Matches(got) {
-				c.Residual++
+		})
+	}
+	matcher := rematch.CompileCached(src.Source.Tokens())
+	var (
+		spans []rematch.Span
+		buf   []byte
+	)
+	for _, v := range t.dirtyValues(src, target) {
+		var ok bool
+		spans, ok = matcher.MatchInto(v.s, spans)
+		for j, r := range src.Plans {
+			if ok {
+				var err error
+				buf, err = r.Plan.AppendSpans(buf[:0], v.s, spans)
+				if err == nil && target.Matches(string(buf)) {
+					continue
+				}
 			}
+			out[j].Residual += v.n
 		}
+	}
+	for j := range out {
+		c := &out[j]
 		c.Score = float64(c.Residual)*1000 + float64(c.EditDistance) + c.DL/1e4
-		out = append(out, c)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		x, y := out[a], out[b]
@@ -116,6 +124,42 @@ func (t *Transformation) RepairCandidates(i int) []RepairCandidate {
 		return x.Alt < y.Alt
 	})
 	return out
+}
+
+// countedValue is one distinct row value and how many rows carry it.
+type countedValue struct {
+	s string
+	n int
+}
+
+// dirtyValues returns the distinct values of the snapshot rows source
+// src covers that are not already in the target pattern, in first-seen
+// order, each with its row count. Rows already in the target pattern are
+// untouched by Run, so they never count toward a residual.
+func (t *Transformation) dirtyValues(src *synth.SourceSynthesis, target *rematch.Compiled) []countedValue {
+	if src.Node == nil {
+		return nil
+	}
+	var vals []countedValue
+	slot := make(map[string]int) // value → index into vals, -1 when clean
+	for _, c := range src.Node.Leaves {
+		for _, ri := range c.Rows {
+			v := t.data[ri]
+			k, seen := slot[v]
+			if !seen {
+				k = -1
+				if !target.Matches(v) {
+					k = len(vals)
+					vals = append(vals, countedValue{s: v})
+				}
+				slot[v] = k
+			}
+			if k >= 0 {
+				vals[k].n++
+			}
+		}
+	}
+	return vals
 }
 
 // planOps renders a plan as its sequence of single-token effects — the

@@ -27,11 +27,13 @@ type SavedProgram struct {
 	compiled *unifi.CompiledGuardedProgram
 	targetM  *rematch.Compiled
 	// auto is the program fused into a single byte automaton (target
-	// identity case + every guarded case, one scan per row), built once at
-	// load. nil when the compiler can't lower the program; the
-	// backtracking engine above then serves it — counted in
-	// automaton.GlobalStats.
-	auto *automaton.Machine
+	// identity case + every guarded case, one scan per row), compiled on
+	// first use and shared by copies of the program. Its machine is nil
+	// when the compiler can't lower the program; the backtracking engine
+	// above then serves it — counted in automaton.GlobalStats.
+	auto *lazyMachine
+	// noAuto pins this program to the reference engine (DisableAutomaton).
+	noAuto bool
 	// Workers bounds the goroutine fan-out of Transform: 0 uses one worker
 	// per CPU, 1 runs serially. Output is identical for every setting.
 	Workers int
@@ -71,7 +73,19 @@ func (t *Transformation) Export() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// LoadProgram deserializes a program produced by Export.
+// lazyMachine compiles a program's automaton once, on first demand.
+// Registries load every program they store but serve few of them, so
+// the compile (and the machine's memory) is paid only by programs that
+// are applied.
+type lazyMachine struct {
+	once sync.Once
+	m    *automaton.Machine
+}
+
+// LoadProgram deserializes a program produced by Export. The program's
+// matchers are bound here; its byte automaton is compiled on first apply
+// (or HasAutomaton), so loading a program that is never applied costs no
+// automaton compile.
 func LoadProgram(data []byte) (*SavedProgram, error) {
 	var sj savedJSON
 	if err := json.Unmarshal(data, &sj); err != nil {
@@ -90,25 +104,39 @@ func LoadProgram(data []byte) (*SavedProgram, error) {
 		prog:     prog,
 		compiled: prog.Compile(),
 		targetM:  rematch.CompileCached(target.Tokens()),
-	}
-	// Best effort: a program the automaton compiler can't lower (counted
-	// in the fallback metric) is served by the backtracking engine with
-	// identical results.
-	if m, err := automaton.CompileSaved(target, prog); err == nil {
-		sp.auto = m
+		auto:     new(lazyMachine),
 	}
 	return sp, nil
 }
 
+// machine returns the program's automaton, compiling it on the first
+// call. Best effort: a program the automaton compiler can't lower
+// (counted in the fallback metric) yields nil and is served by the
+// backtracking engine with identical results.
+func (sp *SavedProgram) machine() *automaton.Machine {
+	if sp.noAuto {
+		return nil
+	}
+	sp.auto.once.Do(func() {
+		if m, err := automaton.CompileSaved(sp.target, sp.prog); err == nil {
+			sp.auto.m = m
+		}
+	})
+	return sp.auto.m
+}
+
 // HasAutomaton reports whether the program compiled to the fused byte
-// automaton; false means the backtracking reference engine serves it (the
-// clx_automaton_fallback_total counter records why loads got here).
-func (sp *SavedProgram) HasAutomaton() bool { return sp.auto != nil }
+// automaton, compiling it if no apply has yet; false means the
+// backtracking reference engine serves it (the
+// clx_automaton_fallback_total counter records why compiles got here).
+func (sp *SavedProgram) HasAutomaton() bool { return sp.machine() != nil }
 
 // DisableAutomaton forces every apply path onto the backtracking
 // reference engine — the differential layer's handle for comparing the
-// two engines on the same loaded program.
-func (sp *SavedProgram) DisableAutomaton() { sp.auto = nil }
+// two engines on the same loaded program. Called before first use, the
+// automaton is never compiled. Call it before sharing the program across
+// goroutines.
+func (sp *SavedProgram) DisableAutomaton() { sp.noAuto = true }
 
 // autoArenas pools automaton scratch across rows, chunks, and programs;
 // Machine scratch is program-independent, so one pool serves all.
@@ -140,11 +168,11 @@ func (sp *SavedProgram) Sources() []Pattern {
 // a known format are transformed, anything else is returned unchanged with
 // ok=false.
 func (sp *SavedProgram) Apply(s string) (string, bool) {
-	if sp.auto != nil {
+	if m := sp.machine(); m != nil {
 		// One fused scan: the identity (target) case and every guarded
 		// case dispatch together, so a clean row costs the same single
 		// pass as a transformed one.
-		out, err := sp.auto.Apply(s)
+		out, err := m.Apply(s)
 		if err != nil {
 			return s, false
 		}
@@ -166,9 +194,9 @@ func (sp *SavedProgram) Apply(s string) (string, bool) {
 // byte-for-byte the Apply result — the invariant the streaming bulk-apply
 // engine's differential suite pins against Transform.
 func (sp *SavedProgram) AppendApply(dst []byte, s string) ([]byte, bool) {
-	if sp.auto != nil {
+	if m := sp.machine(); m != nil {
 		a := autoArenas.Get().(*automaton.Arena)
-		out, ok := sp.autoAppendApply(a, dst, s)
+		out, ok := autoAppendApply(m, a, dst, s)
 		autoArenas.Put(a)
 		return out, ok
 	}
@@ -183,12 +211,12 @@ func (sp *SavedProgram) AppendApply(dst []byte, s string) ([]byte, bool) {
 	return out, true
 }
 
-// autoAppendApply is AppendApply on the automaton with caller-held
+// autoAppendApply is AppendApply on automaton m with caller-held
 // scratch: uncovered rows and plan errors truncate back to the mark and
 // pass the input through, exactly like the reference path above.
-func (sp *SavedProgram) autoAppendApply(a *automaton.Arena, dst []byte, s string) ([]byte, bool) {
+func autoAppendApply(m *automaton.Machine, a *automaton.Arena, dst []byte, s string) ([]byte, bool) {
 	mark := len(dst)
-	out, err := sp.auto.AppendApply(dst, s, a)
+	out, err := m.AppendApply(dst, s, a)
 	if err != nil {
 		return append(out[:mark], s...), false
 	}
@@ -201,12 +229,13 @@ func (sp *SavedProgram) autoAppendApply(a *automaton.Arena, dst []byte, s string
 // row, which is what makes the steady-state streaming path allocation
 // free. Without an automaton it degrades to the plain AppendApply method.
 func (sp *SavedProgram) ChunkApplier() (apply func(dst []byte, s string) ([]byte, bool), release func()) {
-	if sp.auto == nil {
+	m := sp.machine()
+	if m == nil {
 		return sp.AppendApply, func() {}
 	}
 	a := autoArenas.Get().(*automaton.Arena)
 	return func(dst []byte, s string) ([]byte, bool) {
-		return sp.autoAppendApply(a, dst, s)
+		return autoAppendApply(m, a, dst, s)
 	}, func() { autoArenas.Put(a) }
 }
 

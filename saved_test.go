@@ -2,10 +2,13 @@ package clx_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	clx "clx"
+	"clx/internal/automaton"
 )
 
 func TestExportLoadRoundTrip(t *testing.T) {
@@ -242,5 +245,95 @@ func TestAppendApplyBothEngines(t *testing.T) {
 			}
 		}
 		release()
+	}
+}
+
+// The byte automaton is compiled on first use, once, however many
+// goroutines race to that first use through the three apply entry
+// points; loading alone compiles nothing. Run under -race (make
+// apply-parity).
+func TestLazyAutomatonConcurrentFirstUse(t *testing.T) {
+	column := []string{
+		"(734) 645-8397", "734.236.3466", "734-422-8073", "N/A",
+	}
+	tr, err := clx.NewSession(column).Label(clx.MustParsePattern("<D>3'-'<D>3'-'<D>4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tr.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := tr.Run()
+
+	before := automaton.GlobalStats()
+	sp, err := clx.LoadProgram(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := automaton.GlobalStats(); got != before {
+		t.Fatalf("LoadProgram compiled: counters %+v → %+v", before, got)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(column))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, s := range column {
+				var got string
+				switch g % 3 {
+				case 0:
+					got, _ = sp.Apply(s)
+				case 1:
+					out, _ := sp.AppendApply(nil, s)
+					got = string(out)
+				default:
+					apply, release := sp.ChunkApplier()
+					out, _ := apply(nil, s)
+					release()
+					got = string(out)
+				}
+				if got != want[i] {
+					errs <- fmt.Sprintf("goroutine %d row %q: got %q, want %q", g, s, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	after := automaton.GlobalStats()
+	if after.Compiled != before.Compiled+1 || after.Fallback != before.Fallback {
+		t.Fatalf("first use compiled %d programs (%d fallbacks), want exactly 1",
+			after.Compiled-before.Compiled, after.Fallback-before.Fallback)
+	}
+	if !sp.HasAutomaton() {
+		t.Fatal("phones program should lower to an automaton")
+	}
+	if got := automaton.GlobalStats(); got != after {
+		t.Fatalf("HasAutomaton after first use recompiled: %+v → %+v", after, got)
+	}
+
+	// Disabled before first use: never compiled, served by the reference
+	// engine with the same results.
+	ref, err := clx.LoadProgram(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.DisableAutomaton()
+	for i, s := range column {
+		if got, _ := ref.Apply(s); got != want[i] {
+			t.Errorf("reference engine row %q: got %q, want %q", s, got, want[i])
+		}
+	}
+	if ref.HasAutomaton() {
+		t.Fatal("DisableAutomaton before first use still attached an automaton")
+	}
+	if got := automaton.GlobalStats(); got != after {
+		t.Fatalf("disabled program compiled: %+v → %+v", after, got)
 	}
 }
